@@ -34,15 +34,12 @@ final class FixedStratified(k: Int = 3) extends StreamAlgorithm {
       (0 until k).map { s =>
         val sampled = Reservoir.bottomN(strataIdxs(s), counts(s), trialSeed,
           tag = FixedStratified.SampleTag + t)
-        val obs = sampled.map { i =>
-          val (f, o) = oracle.invoke(i.toInt)
-          (f, if (query.usePredicate) o else true)
-        }
-        StratumStats.fromSamples(strataIdxs(s).size.toLong, obs)
+        StratumStats.fromSamples(strataIdxs(s).size.toLong,
+          sampled.map(oracle.observe(_, query.usePredicate)))
       }
     }
 
-    val perSegment = cellsPerSegment.map(cs => Estimator.segmentEstimate(cs, query.agg)).toArray
+    val perSegment = cellsPerSegment.map(cs => Estimator.estimate(cs, query.agg)).toArray
     RunResult(perSegment, Estimator.cumulativeEstimate(cellsPerSegment, query.agg), oracle.totalCalls)
   }
 }

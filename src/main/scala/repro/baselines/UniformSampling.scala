@@ -22,18 +22,15 @@ final class UniformSampling extends StreamAlgorithm {
 
     val sampled = Reservoir.bottomN((0L until ds.length.toLong), totalBudget,
       trialSeed, tag = UniformSampling.SampleTag)
-    val obs = sampled.map { i =>
-      val (f, o) = oracle.invoke(i.toInt)
-      (i, f, if (query.usePredicate) o else true)
-    }
+    val obs = sampled.map(i => (i, oracle.observe(i, query.usePredicate)))
 
     val perSegment = segs.zipWithIndex.map { case (seg, _) =>
-      val inSeg = obs.filter { case (i, _, _) => seg.contains(i.toInt) }
-      val cell = StratumStats.fromSamples(seg.size.toLong, inSeg.map { case (_, f, p) => (f, p) })
-      Estimator.segmentEstimate(Seq(cell), query.agg)
+      val inSeg = obs.filter { case (i, _) => seg.contains(i.toInt) }
+      val cell = StratumStats.fromSamples(seg.size.toLong, inSeg.map(_._2))
+      Estimator.estimate(Seq(cell), query.agg)
     }.toArray
 
-    val overall = StratumStats.fromSamples(ds.length.toLong, obs.map { case (_, f, p) => (f, p) })
+    val overall = StratumStats.fromSamples(ds.length.toLong, obs.map(_._2))
     RunResult(perSegment, Estimator.estimate(Seq(overall), query.agg), oracle.totalCalls)
   }
 }

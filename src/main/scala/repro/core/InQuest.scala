@@ -14,20 +14,8 @@ final case class InQuestParams(
     s"defensive fraction must be in [0,1], got $defensiveFraction")
 }
 
-/** The InQuest algorithm (paper Algorithms 1–2), record-at-a-time engine.
-  *
-  * Segment 1 is the pilot: N uniform samples, contributed to the estimate
-  * as a single stratum; its samples, bucketed by segment 1's own proxy
-  * quantiles, seed the allocation history. Every later segment t:
-  *
-  *   1. GetStrata — quantile boundaries of segment t−1's proxies, smoothed
-  *      by the history EWMA;
-  *   2. GetAlloc — raw optimal allocation from segment t−1's per-stratum
-  *      samples, smoothed by the history EWMA, plus the N1/K defensive
-  *      floor;
-  *   3. SplitStream + reservoir-draw the per-stratum budgets and invoke
-  *      the oracle on exactly the sampled records;
-  *   4. GetPrediction — per-segment and cumulative estimates.
+/** The InQuest algorithm (paper Algorithms 1–2), record-at-a-time engine:
+  * an [[InQuestController]] fed one [[InQuest.LocalPlane]] per segment.
   *
   * The per-trial sampling is a pure function of `trialSeed` (see
   * [[repro.sampling.Reservoir.bottomN]]), which the Catalyst engine
@@ -40,82 +28,12 @@ final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgor
     * tests via the returned [[InQuest.Trace]].
     */
   def runTraced(ds: StreamDataset, query: QueryConfig, trialSeed: Long): InQuest.Trace = {
-    val segs = ds.segments(query.segmentLength)
-    val n = query.budgetPerSegment
-    val (n1, n2) = Allocation.splitBudget(n, params.defensiveFraction)
-    val oracle = new OracleModel(ds, query.segmentLength, Some(n))
-
-    val strataHistory = Vector.newBuilder[Array[Double]]
-    val allocHistory = Vector.newBuilder[Array[Double]]
-    val cellsPerSegment = Vector.newBuilder[Seq[StratumStats]]
-    val usedBoundaries = Vector.newBuilder[Array[Double]]
-    val usedCounts = Vector.newBuilder[Array[Int]]
-    val perSegmentEst = Array.ofDim[Double](segs.size)
-
-    def observe(idxs: Seq[Long], sizeD: Long): StratumStats = {
-      val obs = idxs.map { i =>
-        val (f, o) = oracle.invoke(i.toInt)
-        (f, if (query.usePredicate) o else true)
-      }
-      StratumStats.fromSamples(sizeD, obs)
+    val controller = new InQuestController(params, query)
+    val oracle = new OracleModel(ds, query.segmentLength, Some(query.budgetPerSegment))
+    ds.segments(query.segmentLength).foreach { seg =>
+      controller.step(new InQuest.LocalPlane(ds, seg, oracle, trialSeed, query.usePredicate))
     }
-
-    // ---- Pilot segment (Algorithm 1, InQuestPilot) ----
-    val pilotSeg = segs.head
-    val pilotIdxs = Reservoir.bottomN(pilotSeg.map(_.toLong), math.min(n, pilotSeg.size),
-      trialSeed, tag = InQuest.SampleTag)
-    val pilotObs = pilotIdxs.map { i =>
-      val (f, o) = oracle.invoke(i.toInt)
-      (i, f, if (query.usePredicate) o else true)
-    }
-    val pilotCell = StratumStats.fromSamples(pilotSeg.size.toLong,
-      pilotObs.map { case (_, f, o) => (f, o) })
-    cellsPerSegment += Seq(pilotCell)
-    perSegmentEst(0) = Estimator.segmentEstimate(Seq(pilotCell), query.agg)
-
-    // Seed the histories: S_1 from segment 1's proxies; a_1 from the pilot
-    // samples bucketed into S_1's strata (DESIGN.md §6, "Pilot segment").
-    val s1 = Stratification.quantileStrata(pilotSeg.map(ds.proxy), params.k)
-    strataHistory += s1
-    val pilotByStratum = pilotObs.groupBy { case (i, _, _) => Stratification.assign(ds.proxy(i.toInt), s1) }
-    val segSizes1 = Stratification.split(ds, pilotSeg, s1).map(_.size.toLong)
-    allocHistory += Allocation.rawAllocation(
-      (0 until params.k).map { k =>
-        StratumStats.fromSamples(segSizes1(k),
-          pilotByStratum.getOrElse(k, Vector.empty).map { case (_, f, o) => (f, o) })
-      })
-
-    // ---- Segments t >= 2 ----
-    for (t <- 1 until segs.size) {
-      val seg = segs(t)
-      val boundaries = Stratification.smooth(strataHistory.result(), params.alpha)
-      val aHat = Allocation.smooth(allocHistory.result(), params.alpha)
-      val strataIdxs = Stratification.split(ds, seg, boundaries)
-      val counts = Allocation.capToSizes(
-        Allocation.sampleCounts(aHat, n1, n2), strataIdxs.map(_.size.toLong))
-      usedBoundaries += boundaries
-      usedCounts += counts
-      val cells = (0 until params.k).map { k =>
-        val sampled = Reservoir.bottomN(strataIdxs(k), counts(k), trialSeed,
-          tag = InQuest.SampleTag + t + 1)
-        observe(sampled, strataIdxs(k).size.toLong)
-      }
-      cellsPerSegment += cells
-      perSegmentEst(t) = Estimator.segmentEstimate(cells, query.agg)
-
-      // Update histories from this segment for the next iteration.
-      strataHistory += Stratification.quantileStrata(seg.map(ds.proxy), params.k)
-      allocHistory += Allocation.rawAllocation(cells)
-    }
-
-    val allCells = cellsPerSegment.result()
-    InQuest.Trace(
-      RunResult(perSegmentEst, Estimator.cumulativeEstimate(allCells, query.agg), oracle.totalCalls),
-      allCells,
-      usedBoundaries.result(),
-      usedCounts.result(),
-      allocHistory.result(),
-    )
+    controller.trace
   }
 
   override def run(ds: StreamDataset, query: QueryConfig, trialSeed: Long): RunResult =
@@ -126,7 +44,10 @@ object InQuest {
   /** Tag decorrelating sampling uniforms from data-generation uniforms. */
   val SampleTag: Long = 0x1A0_57AB1EL
 
-  /** Run result plus internals for white-box tests and the lesion study. */
+  /** Run result plus internals for white-box tests and the lesion study.
+    * Boundaries and counts are those of each post-pilot segment; raw
+    * allocations start with the pilot's a_1.
+    */
   final case class Trace(
       result: RunResult,
       cells: Seq[Seq[StratumStats]],
@@ -134,4 +55,35 @@ object InQuest {
       countsPerSegment: Seq[Array[Int]],
       rawAllocations: Seq[Array[Double]],
   )
+
+  /** One segment of an in-memory stream as a data plane. The last split
+    * is kept, so that sizing and drawing under the same boundaries split
+    * the segment once.
+    */
+  private[core] final class LocalPlane(ds: StreamDataset, seg: Range, oracle: OracleModel,
+                         trialSeed: Long, usePredicate: Boolean) extends SegmentPlane {
+    private var lastSplit: (Array[Double], Array[Vector[Long]]) = (null, null)
+
+    private def strata(boundaries: Array[Double]): Array[Vector[Long]] = {
+      if (lastSplit._1 ne boundaries) lastSplit = (boundaries, Stratification.split(ds, seg, boundaries))
+      lastSplit._2
+    }
+
+    def quantiles(k: Int): Option[Array[Double]] =
+      Some(Stratification.quantileStrata(seg.map(ds.proxy), k))
+
+    def sizes(boundaries: Array[Double]): Array[Long] = strata(boundaries).map(_.size.toLong)
+
+    def sample(drawBoundaries: Array[Double], counts: Array[Int], tag: Long,
+               foldBy: Seq[Array[Double]]): Seq[Seq[StratumStats]] = {
+      val obs = strata(drawBoundaries).iterator.zip(counts).flatMap { case (idxs, c) =>
+        Reservoir.bottomN(idxs, c, trialSeed, tag)
+      }.map(i => (i, oracle.observe(i, usePredicate))).toVector
+      foldBy.map { b =>
+        val byStratum = obs.groupBy { case (i, _) => Stratification.assign(ds.proxy(i.toInt), b) }
+        val sz = sizes(b)
+        sz.indices.map(s => StratumStats.fromSamples(sz(s), byStratum.getOrElse(s, Vector.empty).map(_._2)))
+      }
+    }
+  }
 }

@@ -42,6 +42,15 @@ final class OracleModel(
     (statistic(idx), predicate(idx))
   }
 
+  /** Invoke the oracle on record `idx` as a query sees it: (f(x), whether
+    * the record counts as matching). Without a predicate every record
+    * matches.
+    */
+  def observe(idx: Long, usePredicate: Boolean): (Double, Boolean) = {
+    val (f, o) = invoke(idx.toInt)
+    (f, if (usePredicate) o else true)
+  }
+
   def totalCalls: Long = callsPerSegment.sum
   def callsInSegment(t: Int): Long = callsPerSegment(t)
 }

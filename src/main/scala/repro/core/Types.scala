@@ -39,19 +39,15 @@ final case class StreamDataset(
 
   /** Exact per-segment query answer μ_t (evaluation harness only). */
   def truthPerSegment(segmentLength: Int, usePredicate: Boolean, agg: AggFunc = AggFunc.Avg): Array[Double] =
-    segments(segmentLength).map { seg =>
-      val matching = seg.filter(i => !usePredicate || predicate(i))
-      agg match {
-        case AggFunc.Avg =>
-          if (matching.isEmpty) 0.0 else matching.map(statistic).sum / matching.size
-        case AggFunc.Sum   => matching.map(statistic).sum
-        case AggFunc.Count => matching.size.toDouble
-      }
-    }.toArray
+    segments(segmentLength).map(aggregate(_, usePredicate, agg)).toArray
 
   /** Exact full-query answer μ (evaluation harness only). */
-  def truthOverall(usePredicate: Boolean, agg: AggFunc = AggFunc.Avg): Double = {
-    val matching = (0 until length).filter(i => !usePredicate || predicate(i))
+  def truthOverall(usePredicate: Boolean, agg: AggFunc = AggFunc.Avg): Double =
+    aggregate(0 until length, usePredicate, agg)
+
+  /** The query answer over `records`, summed in index order. */
+  private def aggregate(records: Range, usePredicate: Boolean, agg: AggFunc): Double = {
+    val matching = records.filter(i => !usePredicate || predicate(i))
     agg match {
       case AggFunc.Avg =>
         if (matching.isEmpty) 0.0 else matching.map(statistic).sum / matching.size

@@ -6,13 +6,8 @@ import org.apache.spark.sql.functions._
 import repro.core._
 import repro.util.Rng
 
-/** The InQuest data plane as Catalyst operators (DESIGN.md §2).
-  *
-  * One instance processes a stream one tumbling segment (micro-batch) at
-  * a time, keeping only the small driver-side state InQuest needs between
-  * segments: the strata-boundary history, the allocation history and the
-  * per-cell sufficient statistics. Per segment everything heavy runs as
-  * DataFrame operations:
+/** The InQuest data plane as Catalyst operators (DESIGN.md §2), over one
+  * cached tumbling window. Everything heavy runs as DataFrame operations:
   *
   *   - proxy-quantile boundaries: the exact `percentile` aggregate (same
   *     linear-interpolation definition as `Stats.quantileBoundaries`);
@@ -21,35 +16,19 @@ import repro.util.Rng
   *     — bit-identical to `Reservoir.bottomN` because both hash
   *     `(seed, idx, tag)` with the same splitmix64 mixer;
   *   - oracle invocation: `statistic`/`predicate` are only read on rows
-  *     that survive the sampling filter, and the count of such rows is
-  *     asserted against the `ORACLE LIMIT`;
-  *   - cell statistics: one `groupBy(stratum)` aggregation.
-  *
-  * Equivalence with the record-at-a-time [[repro.core.InQuest]] engine is
-  * asserted exactly in `SparkInQuestSpec`.
+  *     that survive the sampling filter;
+  *   - cell statistics: one `groupBy(stratum)` aggregation per fold.
   */
-final class SparkInQuestProcessor(
-    params: InQuestParams,
-    query: QueryConfig,
-    trialSeed: Long,
-) {
-
-  private val (n1, n2) = Allocation.splitBudget(query.budgetPerSegment, params.defensiveFraction)
-  private val strataHistory = Vector.newBuilder[Array[Double]]
-  private val allocHistory = Vector.newBuilder[Array[Double]]
-  private val cells = Vector.newBuilder[Seq[StratumStats]]
-  private val estimates = Vector.newBuilder[Double]
-  private var segmentsSeen = 0
-  private var calls = 0L
+private final class SparkSegmentPlane(df: DataFrame, trialSeed: Long, usePredicate: Boolean)
+    extends SegmentPlane {
 
   /** Spark-side uniform hash, identical to [[Rng.uniform]]. The closure
     * captures only local primitives — capturing `this` would drag the
-    * whole processor (driver-side builders) into task serialization.
+    * plane and its DataFrame into task serialization.
     */
   private def uniformCol(tag: Long): Column = {
     val seed = trialSeed
-    val t = tag
-    val u = udf((idx: Long) => Rng.uniform(seed, idx, t))
+    val u = udf((idx: Long) => Rng.uniform(seed, idx, tag))
     u(col("idx"))
   }
 
@@ -58,113 +37,95 @@ final class SparkInQuestProcessor(
       case ((b, k), rest) => when(col("proxy") < b, lit(k)).otherwise(rest)
     }
 
-  /** Exact interior K-quantile boundaries of the segment's proxies. */
-  private def quantiles(segDf: DataFrame): Array[Double] =
-    if (params.k == 1) Array.empty
+  /** SQL `percentile` is the *exact* aggregate with the same
+    * linear-interpolation definition as Stats.quantileBoundaries; it is
+    * null on an empty window. K = 1 needs no boundaries and no job.
+    */
+  def quantiles(k: Int): Option[Array[Double]] =
+    if (k == 1) Some(Array.empty)
     else {
-      // SQL `percentile` is the *exact* aggregate with the same
-      // linear-interpolation definition as Stats.quantileBoundaries.
-      val qs = (1 until params.k).map(_.toDouble / params.k).mkString("array(", ",", ")")
-      segDf
-        .selectExpr(s"percentile(proxy, $qs) as q")
-        .head().getSeq[Double](0).toArray
+      val qs = (1 until k).map(_.toDouble / k).mkString("array(", ",", ")")
+      val r = df.selectExpr(s"percentile(proxy, $qs) as q").head()
+      Option.unless(r.isNullAt(0))(r.getSeq[Double](0).toArray)
     }
 
-  /** Aggregate sampled rows (with observed statistic/predicate) plus the
-    * per-stratum population counts into [[StratumStats]] cells.
+  def sizes(boundaries: Array[Double]): Array[Long] = {
+    val byStratum = df
+      .withColumn("stratum", stratumCol(boundaries))
+      .groupBy(col("stratum")).count()
+      .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
+    Array.tabulate(boundaries.length + 1)(s => byStratum.getOrElse(s, 0L))
+  }
+
+  def sample(drawBoundaries: Array[Double], counts: Array[Int], tag: Long,
+             foldBy: Seq[Array[Double]]): Seq[Seq[StratumStats]] = {
+    val countCol = counts.zipWithIndex.foldRight(lit(0): Column) {
+      case ((c, s), rest) => when(col("stratum") === s, lit(c)).otherwise(rest)
+    }
+    val order =
+      if (drawBoundaries.isEmpty) Window.orderBy(col("u"), col("idx"))
+      else Window.partitionBy(col("stratum")).orderBy(col("u"), col("idx"))
+    val flagged = df
+      .withColumn("stratum", stratumCol(drawBoundaries))
+      .withColumn("u", uniformCol(tag))
+      .withColumn("sampled", row_number().over(order) <= countCol)
+    foldBy.map(cellStats(flagged, _))
+  }
+
+  /** Aggregate the sampled rows (with observed statistic/predicate) plus
+    * the per-stratum population counts into [[StratumStats]] cells.
     */
-  private def cellStats(segDf: DataFrame, boundaries: Array[Double],
-                        sampledFilter: Column): Seq[StratumStats] = {
-    val k = boundaries.length + 1
-    val withStratum = segDf.withColumn("stratum", stratumCol(boundaries))
-    val matchCol =
-      if (query.usePredicate) col("predicate") else lit(true)
-    val agg = withStratum
+  private def cellStats(flagged: DataFrame, boundaries: Array[Double]): Seq[StratumStats] = {
+    val sampled = col("sampled")
+    val matching = sampled && (if (usePredicate) col("predicate") else lit(true))
+    val agg = flagged
+      .withColumn("stratum", stratumCol(boundaries))
       .groupBy(col("stratum"))
       .agg(
         count(lit(1)) as "sizeD",
-        count(when(sampledFilter, 1)) as "nSampled",
-        count(when(sampledFilter && matchCol, 1)) as "nPos",
-        coalesce(sum(when(sampledFilter && matchCol, col("statistic"))), lit(0.0)) as "sumF",
-        coalesce(sum(when(sampledFilter && matchCol,
-          col("statistic") * col("statistic"))), lit(0.0)) as "sumSqF",
+        count(when(sampled, 1)) as "nSampled",
+        count(when(matching, 1)) as "nPos",
+        coalesce(sum(when(matching, col("statistic"))), lit(0.0)) as "sumF",
+        coalesce(sum(when(matching, col("statistic") * col("statistic"))), lit(0.0)) as "sumSqF",
       )
       .collect()
       .map(r => r.getInt(0) ->
         StratumStats(r.getLong(1), r.getLong(2).toInt, r.getLong(3).toInt,
           r.getDouble(4), r.getDouble(5)))
       .toMap
-    (0 until k).map(s => agg.getOrElse(s, StratumStats(0, 0, 0, 0.0, 0.0)))
+    (0 to boundaries.length).map(s => agg.getOrElse(s, StratumStats(0, 0, 0, 0.0, 0.0)))
   }
+}
 
-  /** Process segment `t` (0-based); `segDf` must hold exactly that
-    * tumbling window's records. Returns the segment's cells.
+/** The Catalyst engine: an [[InQuestController]] fed one
+  * [[SparkSegmentPlane]] per tumbling segment (micro-batch). Equivalence
+  * with the record-at-a-time [[repro.core.InQuest]] engine is asserted
+  * exactly in `SparkInQuestSpec`.
+  */
+final class SparkInQuestProcessor(
+    params: InQuestParams,
+    query: QueryConfig,
+    trialSeed: Long,
+) {
+  private val controller = new InQuestController(params, query)
+
+  /** Process the next segment; `segDf` must hold exactly that tumbling
+    * window's records (possibly none). Returns the segment's cells.
     */
   def processSegment(segDf: DataFrame): Seq[StratumStats] = {
-    val t = segmentsSeen
     val df = segDf.cache()
-    try {
-      val segCells: Seq[StratumStats] =
-        if (t == 0) {
-          // Pilot: N uniform samples over the whole segment, one stratum.
-          val sampled = row_number().over(
-            Window.orderBy(col("u"), col("idx"))) <= query.budgetPerSegment
-          val withU = df.withColumn("u", uniformCol(InQuest.SampleTag))
-          val pilot = cellStats(withU.withColumn("sampled",
-              sampled).withColumn("stratum", lit(0)), Array.empty, col("sampled"))
-          // Seed histories from segment 1 (DESIGN.md §6 "Pilot segment").
-          val s1 = quantiles(df)
-          strataHistory += s1
-          allocHistory += Allocation.rawAllocation(
-            cellStats(withU.withColumn("sampled", sampled), s1, col("sampled")))
-          pilot
-        } else {
-          val boundaries = Stratification.smooth(strataHistory.result(), params.alpha)
-          val aHat = Allocation.smooth(allocHistory.result(), params.alpha)
-          // Stratum populations (one cheap aggregation) to cap the counts
-          // exactly like the local engine does.
-          val sizeByStratum = df
-            .withColumn("stratum", stratumCol(boundaries))
-            .groupBy(col("stratum")).count()
-            .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-          val sizes = Array.tabulate(params.k)(s => sizeByStratum.getOrElse(s, 0L))
-          val counts = Allocation.capToSizes(
-            Allocation.sampleCounts(aHat, n1, n2), sizes)
-          val countCol = counts.zipWithIndex.foldRight(lit(0): Column) {
-            case ((c, s), rest) => when(col("stratum") === s, lit(c)).otherwise(rest)
-          }
-          val sampledFlag = row_number().over(
-            Window.partitionBy(col("stratum")).orderBy(col("u"), col("idx"))) <= countCol
-          val withFlags = df
-            .withColumn("stratum", stratumCol(boundaries))
-            .withColumn("u", uniformCol(InQuest.SampleTag + t + 1))
-            .withColumn("sampled", sampledFlag)
-          val segCells = cellStats(withFlags, boundaries, col("sampled"))
-          strataHistory += quantiles(df)
-          allocHistory += Allocation.rawAllocation(segCells)
-          segCells
-        }
-
-      val segCalls = segCells.map(_.nSampled.toLong).sum
-      require(segCalls <= query.budgetPerSegment,
-        s"oracle budget exceeded in segment $t: $segCalls > ${query.budgetPerSegment}")
-      calls += segCalls
-      cells += segCells
-      estimates += Estimator.segmentEstimate(segCells, query.agg)
-      segmentsSeen += 1
-      segCells
-    } finally df.unpersist()
+    try controller.step(new SparkSegmentPlane(df, trialSeed, query.usePredicate))
+    finally df.unpersist()
   }
 
-  def result: RunResult = {
-    val all = cells.result()
-    RunResult(estimates.result().toArray, Estimator.cumulativeEstimate(all, query.agg), calls)
-  }
+  def result: RunResult = controller.result
 }
 
 /** Batch driver: split a full stream DataFrame into its tumbling segments
   * and run the processor over each (the Structured Streaming driver in
   * [[StreamingInQuest]] feeds the same processor from `foreachBatch`).
+  * Windows up to the largest `idx` are processed, including empty ones
+  * left by gaps in `idx`; an empty DataFrame gives an empty result.
   */
 object SparkInQuest {
   def run(
@@ -174,12 +135,11 @@ object SparkInQuest {
       params: InQuestParams = InQuestParams(),
   ): RunResult = {
     val proc = new SparkInQuestProcessor(params, query, trialSeed)
-    val maxIdx = df.agg(max(col("idx"))).head().getLong(0)
-    var start = 0L
-    while (start <= maxIdx) {
-      val end = start + query.segmentLength
-      proc.processSegment(df.filter(col("idx") >= start && col("idx") < end))
-      start = end
+    val last = df.agg(max(col("idx"))).head()
+    val windows = if (last.isNullAt(0)) 0L else last.getLong(0) / query.segmentLength + 1
+    for (t <- 0L until windows) {
+      val start = t * query.segmentLength
+      proc.processSegment(df.filter(col("idx") >= start && col("idx") < start + query.segmentLength))
     }
     proc.result
   }

@@ -13,6 +13,13 @@ class OracleModelSpec extends AnyFunSuite {
     assert(m.invoke(1) == (2.0, false))
   }
 
+  test("observe treats every record as matching without a predicate, and meters like invoke") {
+    val m = model()
+    assert(m.observe(1, usePredicate = true) == (2.0, false))
+    assert(m.observe(1, usePredicate = false) == (2.0, true))
+    assert(m.totalCalls == 1)
+  }
+
   test("invocations are metered per segment") {
     val m = model()
     m.invoke(0); m.invoke(1); m.invoke(2)

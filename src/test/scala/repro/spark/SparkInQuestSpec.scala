@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.apache.spark.sql.functions.{col, lit}
 import repro.SparkSpec
 import repro.core._
 import repro.data.StreamGen
@@ -66,5 +67,23 @@ class SparkInQuestSpec extends SparkSpec {
     sparkR.perSegment.zip(local.perSegment).foreach { case (s, l) =>
       assert(math.abs(s - l) < 1e-9)
     }
+  }
+
+  test("a gap in idx is an empty segment: earlier segments unchanged, budget kept") {
+    val seed = 5L
+    val l = query.segmentLength.toLong
+    val full = SparkInQuest.run(SparkData.toDF(spark, ds), query, seed)
+    val gapDf = SparkData.toDF(spark, ds).filter(col("idx") < 2 * l || col("idx") >= 3 * l)
+    val r = SparkInQuest.run(gapDf, query, seed)
+    def bits(xs: Seq[Double]) = xs.map(java.lang.Double.doubleToRawLongBits)
+    assert(r.perSegment.length == full.perSegment.length)
+    assert(bits(r.perSegment.take(2).toSeq) == bits(full.perSegment.take(2).toSeq))
+    assert(r.perSegment(2) == 0.0)
+    assert(r.oracleCalls <= full.perSegment.length.toLong * query.budgetPerSegment)
+  }
+
+  test("an empty stream gives an empty result") {
+    val r = SparkInQuest.run(SparkData.toDF(spark, ds).filter(lit(false)), query, 1)
+    assert(r.perSegment.isEmpty && r.oracleCalls == 0)
   }
 }
