@@ -3,6 +3,7 @@ package repro.abae
 import repro.core._
 import repro.sampling.Reservoir
 import repro.util.Stats
+import scala.collection.immutable.ArraySeq
 
 /** ABae [Kang et al., PVLDB 2021] — the batch-setting comparator (§5.1).
   *
@@ -34,7 +35,7 @@ final class ABae(k: Int = 3, pilotFraction: Double = 0.15) extends StreamAlgorit
     // Batch algorithm: the budget is global, not per-segment.
     val oracle = new OracleModel(ds, query.segmentLength, None)
 
-    val boundaries = Stats.quantileBoundaries((0 until ds.length).map(ds.proxy), k)
+    val boundaries = Stats.quantileBoundaries(ArraySeq.unsafeWrapArray(ds.proxy), k)
     val strataIdxs = Stratification.split(ds, 0 until ds.length, boundaries)
 
     def observe(idxs: Seq[Long]): Seq[(Long, (Double, Boolean))] =
@@ -43,9 +44,10 @@ final class ABae(k: Int = 3, pilotFraction: Double = 0.15) extends StreamAlgorit
     // Stage 1: pilot, uniform per stratum.
     val pilotBudget = math.max(k, math.round(totalBudget * pilotFraction).toInt)
     val pilotPer = Stats.largestRemainder(Array.fill(k)(1.0), pilotBudget)
-    val pilotSamples = (0 until k).map { s =>
-      observe(Reservoir.bottomN(strataIdxs(s), pilotPer(s), trialSeed, tag = ABae.PilotTag))
+    val pilotIdxs = (0 until k).map { s =>
+      Reservoir.bottomN(strataIdxs(s), pilotPer(s), trialSeed, tag = ABae.PilotTag)
     }
+    val pilotSamples = pilotIdxs.map(observe)
 
     // Stage 2: allocate the rest by the estimated optimal allocation.
     val pilotStats = (0 until k).map { s =>
@@ -57,9 +59,11 @@ final class ABae(k: Int = 3, pilotFraction: Double = 0.15) extends StreamAlgorit
       pilotStats.map(_.stdHat).toArray)
     val stage2Counts = Stats.largestRemainder(alloc, totalBudget - pilotSamples.map(_.size).sum)
     val stage2Samples = (0 until k).map { s =>
-      val already = pilotSamples(s).map(_._1).toSet
-      val remaining = strataIdxs(s).filterNot(already)
-      observe(Reservoir.bottomN(remaining, stage2Counts(s), trialSeed, tag = ABae.Stage2Tag))
+      // The pilot draw is ascending, so membership is a binary search.
+      val already = pilotIdxs(s).toArray
+      val remaining = java.util.Arrays.stream(strataIdxs(s).unsafeArray)
+        .filter(i => java.util.Arrays.binarySearch(already, i) < 0).toArray
+      observe(Reservoir.bottomN(new ArraySeq.ofLong(remaining), stage2Counts(s), trialSeed, tag = ABae.Stage2Tag))
     }
 
     // Sample reuse: pool pilot and stage-2 samples per stratum.
@@ -73,10 +77,11 @@ final class ABae(k: Int = 3, pilotFraction: Double = 0.15) extends StreamAlgorit
     // ŵ_tk ∝ |D_tk|·p̂_tk: ABae sees every proxy score, so |D_tk| is
     // available (DESIGN.md §6).
     val sizeDtk = Array.ofDim[Long](segs.size, k)
-    for (s <- 0 until k; i <- strataIdxs(s)) sizeDtk(i.toInt / query.segmentLength)(s) += 1
-    val perSegment = segs.zipWithIndex.map { case (seg, t) =>
+    for (s <- 0 until k; i <- strataIdxs(s).unsafeArray) sizeDtk(i.toInt / query.segmentLength)(s) += 1
+    val pooledBySegment = pooled.map(_.groupBy { case (i, _) => (i / query.segmentLength).toInt })
+    val perSegment = segs.indices.map { t =>
       val cells = (0 until k).map { s =>
-        val inSeg = pooled(s).filter { case (i, _) => seg.contains(i.toInt) }
+        val inSeg = pooledBySegment(s).getOrElse(t, Vector.empty)
         StratumStats.fromSamples(sizeDtk(t)(s), inSeg.map(_._2))
       }
       Estimator.estimate(cells, query.agg)

@@ -2,6 +2,7 @@ package repro.baselines
 
 import repro.core._
 import repro.sampling.Reservoir
+import scala.collection.immutable.ArraySeq
 
 /** Uniform-sampling streaming baseline (paper §5.1).
   *
@@ -20,13 +21,14 @@ final class UniformSampling extends StreamAlgorithm {
     // segments legitimately receive more than N samples (the total is N·T).
     val oracle = new OracleModel(ds, query.segmentLength, None)
 
-    val sampled = Reservoir.bottomN((0L until ds.length.toLong), totalBudget,
-      trialSeed, tag = UniformSampling.SampleTag)
+    val all = new ArraySeq.ofLong(java.util.stream.LongStream.range(0L, ds.length.toLong).toArray)
+    val sampled = Reservoir.bottomN(all, totalBudget, trialSeed, tag = UniformSampling.SampleTag)
     val obs = sampled.map(i => (i, oracle.observe(i, query.usePredicate)))
+    val bySegment = obs.groupBy { case (i, _) => (i / query.segmentLength).toInt }
 
-    val perSegment = segs.zipWithIndex.map { case (seg, _) =>
-      val inSeg = obs.filter { case (i, _) => seg.contains(i.toInt) }
-      val cell = StratumStats.fromSamples(seg.size.toLong, inSeg.map(_._2))
+    val perSegment = segs.indices.map { t =>
+      val inSeg = bySegment.getOrElse(t, Vector.empty)
+      val cell = StratumStats.fromSamples(segs(t).size.toLong, inSeg.map(_._2))
       Estimator.estimate(Seq(cell), query.agg)
     }.toArray
 

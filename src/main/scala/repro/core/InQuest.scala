@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.sampling.Reservoir
+import scala.collection.immutable.ArraySeq
 
 /** InQuest hyperparameters (paper §3.2 "Setting parameters" defaults). */
 final case class InQuestParams(
@@ -62,15 +63,15 @@ object InQuest {
     */
   private[core] final class LocalPlane(ds: StreamDataset, seg: Range, oracle: OracleModel,
                          trialSeed: Long, usePredicate: Boolean) extends SegmentPlane {
-    private var lastSplit: (Array[Double], Array[Vector[Long]]) = (null, null)
+    private var lastSplit: (Array[Double], Array[ArraySeq.ofLong]) = (null, null)
 
-    private def strata(boundaries: Array[Double]): Array[Vector[Long]] = {
+    private def strata(boundaries: Array[Double]): Array[ArraySeq.ofLong] = {
       if (lastSplit._1 ne boundaries) lastSplit = (boundaries, Stratification.split(ds, seg, boundaries))
       lastSplit._2
     }
 
     def quantiles(k: Int): Option[Array[Double]] =
-      Some(Stratification.quantileStrata(seg.map(ds.proxy), k))
+      Some(Stratification.quantileStrata(ArraySeq.unsafeWrapArray(ds.proxy).slice(seg.start, seg.end), k))
 
     def sizes(boundaries: Array[Double]): Array[Long] = strata(boundaries).map(_.size.toLong)
 

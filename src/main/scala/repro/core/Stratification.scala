@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.util.Stats
+import scala.collection.immutable.ArraySeq
 
 /** GetStrata (Algorithm 2): proxy-quantile stratification smoothed by an
   * EWMA over the segment history.
@@ -24,11 +25,28 @@ object Stratification {
   def assign(proxy: Double, boundaries: Array[Double]): Int =
     Stats.stratumOf(proxy, boundaries)
 
-  /** Partition a segment's record indices into K strata by proxy score. */
-  def split(ds: StreamDataset, segment: Range, boundaries: Array[Double]): Array[Vector[Long]] = {
-    val k = boundaries.length + 1
-    val out = Array.fill(k)(Vector.newBuilder[Long])
-    segment.foreach { i => out(assign(ds.proxy(i), boundaries)) += i.toLong }
-    out.map(_.result())
+  /** Partition a segment's record indices into K strata by proxy score.
+    * Each stratum lists its indices in segment order, on a primitive
+    * `long[]`.
+    */
+  def split(ds: StreamDataset, segment: Range, boundaries: Array[Double]): Array[ArraySeq.ofLong] = {
+    val stratum = new Array[Int](segment.length)
+    val sizes = new Array[Int](boundaries.length + 1)
+    var j = 0
+    while (j < stratum.length) {
+      stratum(j) = assign(ds.proxy(segment(j)), boundaries)
+      sizes(stratum(j)) += 1
+      j += 1
+    }
+    val out = sizes.map(n => new Array[Long](n))
+    val filled = new Array[Int](sizes.length)
+    j = 0
+    while (j < stratum.length) {
+      val s = stratum(j)
+      out(s)(filled(s)) = segment(j).toLong
+      filled(s) += 1
+      j += 1
+    }
+    out.map(new ArraySeq.ofLong(_))
   }
 }

@@ -45,14 +45,26 @@ final case class StreamDataset(
   def truthOverall(usePredicate: Boolean, agg: AggFunc = AggFunc.Avg): Double =
     aggregate(0 until length, usePredicate, agg)
 
-  /** The query answer over `records`, summed in index order. */
+  /** The query answer over `records`, summed in index order. Like
+    * `Seq.sum` on a non-empty sequence, the sum starts from the first
+    * matching statistic, not from 0.0 (which would turn a leading -0.0
+    * into 0.0).
+    */
   private def aggregate(records: Range, usePredicate: Boolean, agg: AggFunc): Double = {
-    val matching = records.filter(i => !usePredicate || predicate(i))
+    var n = 0
+    var sum = 0.0
+    var i = records.start
+    while (i < records.end) {
+      if (!usePredicate || predicate(i)) {
+        sum = if (n == 0) statistic(i) else sum + statistic(i)
+        n += 1
+      }
+      i += 1
+    }
     agg match {
-      case AggFunc.Avg =>
-        if (matching.isEmpty) 0.0 else matching.map(statistic).sum / matching.size
-      case AggFunc.Sum   => matching.map(statistic).sum
-      case AggFunc.Count => matching.size.toDouble
+      case AggFunc.Avg   => if (n == 0) 0.0 else sum / n
+      case AggFunc.Sum   => sum
+      case AggFunc.Count => n.toDouble
     }
   }
 }

@@ -1,5 +1,7 @@
 package repro.util
 
+import scala.collection.immutable.ArraySeq
+
 /** Small statistics toolkit shared by the core algorithm, the baselines and
   * the evaluation harness. Pure functions over in-memory sequences; the
   * Catalyst engine re-expresses the same quantities as DataFrame aggregates
@@ -93,20 +95,86 @@ object Stats {
   /** Empirical quantile boundaries splitting `xs` into K equal-count strata.
     *
     * Returns the K−1 interior boundaries (quantiles at j/K, linear
-    * interpolation). With duplicates boundaries may coincide; stratum
-    * assignment handles that by half-open intervals.
+    * interpolation between the order statistics at ranks `lo` and `lo+1`).
+    * With duplicates boundaries may coincide; stratum assignment handles
+    * that by half-open intervals.
+    *
+    * Selects only the needed order statistics on a primitive copy of `xs`
+    * (read without boxing when `xs` is an `ArraySeq.ofDouble`), ranking
+    * doubles by `Double.compare`, the total order of the `Ordering.Double`
+    * behind `Seq.sorted`. The boundaries are therefore bit-identical to
+    * interpolating in `xs.sorted`; a NaN comes back as the canonical NaN.
     */
   def quantileBoundaries(xs: Seq[Double], k: Int): Array[Double] = {
     require(k >= 1, s"need at least one stratum, got $k")
     require(xs.nonEmpty, "quantileBoundaries of empty sequence")
-    val s = xs.sorted.toArray
-    Array.tabulate(k - 1) { j =>
+    val values = xs match {
+      case a: ArraySeq.ofDouble => a.unsafeArray
+      case _                    => xs.toArray
+    }
+    val n = values.length
+    val keys = new Array[Long](n)
+    var i = 0
+    while (i < n) { keys(i) = orderKey(values(i)); i += 1 }
+    val pos = Array.tabulate(k - 1) { j =>
       val q = (j + 1).toDouble / k
-      val pos = q * (s.length - 1)
-      val lo = pos.toInt
-      val hi = math.min(lo + 1, s.length - 1)
-      val frac = pos - lo
-      s(lo) * (1 - frac) + s(hi) * frac
+      q * (n - 1)
+    }
+    val lo = pos.map(_.toInt)
+    val hi = lo.map(l => math.min(l + 1, n - 1))
+    // Ascending ranks: each selection reorders only the positions above
+    // the previous rank, which hold exactly the larger ranks.
+    var prev = -1
+    for (r <- (lo ++ hi).distinct.sorted) {
+      selectRank(keys, prev + 1, n, r, 2 * (32 - Integer.numberOfLeadingZeros(n)) + 4)
+      prev = r
+    }
+    Array.tabulate(k - 1) { j =>
+      val frac = pos(j) - lo(j)
+      fromOrderKey(keys(lo(j))) * (1 - frac) + fromOrderKey(keys(hi(j))) * frac
+    }
+  }
+
+  /** A long whose signed order is the `Double.compare` order of `x`. */
+  private def orderKey(x: Double): Long = {
+    val bits = java.lang.Double.doubleToLongBits(x)
+    bits ^ ((bits >> 63) & Long.MaxValue)
+  }
+
+  private def fromOrderKey(key: Long): Double =
+    java.lang.Double.longBitsToDouble(key ^ ((key >> 63) & Long.MaxValue))
+
+  /** Quickselect: reorders `a(from until until)` so that rank `r` sits at
+    * `a(r)`, no larger value before it and no smaller one after it. Each
+    * round splits around a median-of-three pivot into <, == and > parts,
+    * so all copies of the pivot are settled at once; after `depth` rounds
+    * the rest of the range is sorted, bounding the worst case at
+    * O(n log n).
+    */
+  private[util] def selectRank(a: Array[Long], from0: Int, until0: Int, r: Int, depth: Int): Unit = {
+    var from = from0
+    var until = until0
+    var rounds = depth
+    while (until - from > 1) {
+      if (rounds == 0) {
+        java.util.Arrays.sort(a, from, until)
+        return
+      }
+      rounds -= 1
+      val x0 = a(from); val x1 = a(from + (until - from) / 2); val x2 = a(until - 1)
+      val pivot = math.max(math.min(x0, x1), math.min(math.max(x0, x1), x2))
+      var lt = from
+      var i = from
+      var gt = until - 1
+      while (i <= gt) {
+        val x = a(i)
+        if (x < pivot) { a(i) = a(lt); a(lt) = x; lt += 1; i += 1 }
+        else if (x > pivot) { a(i) = a(gt); a(gt) = x; gt -= 1 }
+        else i += 1
+      }
+      if (r < lt) until = lt
+      else if (r > gt) from = gt + 1
+      else return
     }
   }
 

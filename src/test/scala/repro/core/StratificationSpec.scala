@@ -1,6 +1,8 @@
 package repro.core
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
+import repro.testkit.Checks.forAllSampled
 import repro.util.Rng
 
 class StratificationSpec extends AnyFunSuite {
@@ -27,6 +29,24 @@ class StratificationSpec extends AnyFunSuite {
     // each stratum's proxies respect the boundary intervals
     strata.zipWithIndex.foreach { case (idxs, k) =>
       idxs.foreach(i => assert(Stratification.assign(ds.proxy(i.toInt), b) == k))
+    }
+  }
+
+  test("split lists each stratum in ascending index order, as filtering the segment does") {
+    val gen = for {
+      k <- Gen.chooseNum(1, 6)
+      proxy <- Gen.nonEmptyListOf(Gen.oneOf(0.1, 0.5, 0.5, 0.9)).map(_.toArray)
+      start <- Gen.chooseNum(0, proxy.length - 1)
+      end <- Gen.chooseNum(start, proxy.length)
+    } yield (k, proxy, start until end)
+    forAllSampled(gen, n = 200) { case (k, proxy, seg) =>
+      val ds = StreamDataset("dup", proxy, proxy, proxy.map(_ > 0.5))
+      val b = Stratification.quantileStrata(proxy.toSeq, k)
+      val strata = Stratification.split(ds, seg, b)
+      assert(strata.length == k)
+      strata.zipWithIndex.foreach { case (idxs, s) =>
+        assert(idxs == seg.filter(i => Stratification.assign(proxy(i), b) == s).map(_.toLong))
+      }
     }
   }
 

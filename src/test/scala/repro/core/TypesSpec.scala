@@ -87,6 +87,26 @@ class TypesSpec extends SparkSpec {
     assert(math.abs(truth - matching.map(ds.statistic).sum / matching.size) < 1e-9)
   }
 
+  test("truth helpers equal the boxed filter-map-sum definition bit for bit") {
+    def reference(ds: StreamDataset, records: Range, usePredicate: Boolean, agg: AggFunc): Double = {
+      val matching = records.filter(i => !usePredicate || ds.predicate(i))
+      agg match {
+        case AggFunc.Avg   => if (matching.isEmpty) 0.0 else matching.map(ds.statistic).sum / matching.size
+        case AggFunc.Sum   => matching.map(ds.statistic).sum
+        case AggFunc.Count => matching.size.toDouble
+      }
+    }
+    def bits(xs: Seq[Double]) = xs.map(java.lang.Double.doubleToRawLongBits)
+    val signedZeros = StreamDataset("zeros", Array(0.1, 0.2, 0.3, 0.4),
+      Array(-0.0, -0.0, 1e-300, -0.0), Array(true, false, false, true))
+    for (ds <- Seq(tinyDs, signedZeros); segLen <- Seq(1, 3, 700); p <- Seq(false, true);
+         agg <- Seq(AggFunc.Avg, AggFunc.Sum, AggFunc.Count)) {
+      assert(bits(ds.truthPerSegment(segLen, p, agg).toSeq) ==
+        bits(ds.segments(segLen).map(reference(ds, _, p, agg))), s"${ds.name} $segLen $p $agg")
+      assert(bits(Seq(ds.truthOverall(p, agg))) == bits(Seq(reference(ds, 0 until ds.length, p, agg))))
+    }
+  }
+
   test("truth helpers on a no-matching-records stream return 0 for AVG") {
     val ds = StreamDataset("none", Array(0.1, 0.2), Array(1.0, 2.0), Array(false, false))
     assert(ds.truthPerSegment(2, usePredicate = true).toSeq == Seq(0.0))

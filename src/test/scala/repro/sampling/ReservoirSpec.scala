@@ -3,9 +3,28 @@ package repro.sampling
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.Checks.forAllSampled
-import repro.util.Stats
+import repro.util.{Rng, Stats}
+import scala.collection.immutable.ArraySeq
 
 class ReservoirSpec extends AnyFunSuite {
+
+  /** The boxed definition `bottomN` had before its primitive heap: a
+    * bounded `PriorityQueue` of `(u, idx)` tuples. Kept as the reference
+    * the primitive kernel must match exactly.
+    */
+  private def referenceBottomN(idxs: Seq[Long], n: Int, seed: Long, tag: Long): Vector[Long] =
+    if (n == 0) Vector.empty
+    else if (idxs.size <= n) idxs.sorted.toVector
+    else {
+      val ord = Ordering.by[(Double, Long), (Double, Long)](identity)
+      val heap = scala.collection.mutable.PriorityQueue.empty[(Double, Long)](ord)
+      idxs.foreach { idx =>
+        val u = Rng.uniform(seed, idx, tag)
+        if (heap.size < n) heap.enqueue((u, idx))
+        else if (ord.lt((u, idx), heap.head)) { heap.dequeue(); heap.enqueue((u, idx)) }
+      }
+      heap.iterator.map(_._2).toVector.sorted
+    }
 
   test("bottomN returns n distinct indices in ascending order") {
     forAllSampled(Gen.chooseNum(1L, 1000L), n = 50) { seed =>
@@ -60,5 +79,23 @@ class ReservoirSpec extends AnyFunSuite {
 
   test("negative sample sizes are rejected") {
     assertThrows[IllegalArgumentException](Reservoir.bottomN(0L until 10L, -1, 1))
+  }
+
+  test("bottomN equals the boxed reference for any index set, input order and Seq type") {
+    val gen = for {
+      idxs <- Gen.listOf(Gen.chooseNum(0L, 1000000L)).map(_.distinct)
+      n <- Gen.chooseNum(0, idxs.size + 2)
+      seed <- Gen.long
+      tag <- Gen.chooseNum(0L, 1000L)
+      shuffleSeed <- Gen.long
+    } yield (idxs, n, seed, tag, shuffleSeed)
+    forAllSampled(gen, n = 300) { case (idxs, n, seed, tag, shuffleSeed) =>
+      val expected = referenceBottomN(idxs, n, seed, tag)
+      val shuffled = new scala.util.Random(shuffleSeed).shuffle(idxs)
+      val primitive = shuffled.toArray
+      for (in <- Seq(idxs, shuffled.toVector, new ArraySeq.ofLong(primitive), new ArraySeq.ofLong(idxs.sorted.toArray)))
+        assert(Reservoir.bottomN(in, n, seed, tag) == expected, s"n=$n input ${in.getClass.getSimpleName}")
+      assert(primitive.toSeq == shuffled, "bottomN must not reorder its input")
+    }
   }
 }

@@ -114,6 +114,58 @@ class StatsSpec extends AnyFunSuite {
       Stats.ewmaVec(Seq(Array(1.0), Array(1.0, 2.0)), 0.5))
   }
 
+  /** The boxed definition `quantileBoundaries` had before its primitive
+    * selection: `Seq.sorted`, then linear interpolation. Kept as the
+    * reference the primitive kernel must match bit for bit.
+    */
+  private def referenceQuantileBoundaries(xs: Seq[Double], k: Int): Array[Double] = {
+    val s = xs.sorted.toArray
+    Array.tabulate(k - 1) { j =>
+      val q = (j + 1).toDouble / k
+      val pos = q * (s.length - 1)
+      val lo = pos.toInt
+      val hi = math.min(lo + 1, s.length - 1)
+      val frac = pos - lo
+      s(lo) * (1 - frac) + s(hi) * frac
+    }
+  }
+
+  test("quantileBoundaries equals the boxed reference bit for bit, duplicates and signed zeros included") {
+    val gen = for {
+      k <- Gen.chooseNum(1, 6)
+      pool <- Gen.nonEmptyListOf(Gen.oneOf(Gen.chooseNum(-1.0, 1.0), Gen.oneOf(0.0, -0.0, 1.0))).map(_.take(6))
+      repeated <- Gen.nonEmptyListOf(Gen.oneOf(pool))
+      fresh <- Gen.listOf(Gen.chooseNum(-1.0, 1.0))
+      seed <- Gen.long
+    } yield (k, new scala.util.Random(seed).shuffle(repeated ++ fresh))
+    def bits(b: Array[Double]) = b.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    forAllSampled(gen, n = 300) { case (k, xs) =>
+      val expected = bits(referenceQuantileBoundaries(xs, k))
+      val primitive = xs.toArray
+      assert(bits(Stats.quantileBoundaries(xs, k)) == expected)
+      assert(bits(Stats.quantileBoundaries(scala.collection.immutable.ArraySeq.unsafeWrapArray(primitive), k)) == expected)
+      assert(primitive.toSeq == xs, "quantileBoundaries must not sort its input in place")
+    }
+  }
+
+  test("selectRank places the rank and partitions around it, also when it falls back to sorting") {
+    val gen = for {
+      xs <- Gen.nonEmptyListOf(Gen.chooseNum(-5L, 5L))
+      from <- Gen.chooseNum(0, xs.size - 1)
+      until <- Gen.chooseNum(from + 1, xs.size)
+      r <- Gen.chooseNum(from, until - 1)
+      depth <- Gen.chooseNum(0, 3)
+    } yield (xs.toArray, from, until, r, depth)
+    forAllSampled(gen, n = 300) { case (xs, from, until, r, depth) =>
+      val a = xs.clone()
+      Stats.selectRank(a, from, until, r, depth)
+      assert(a.take(from).toSeq == xs.take(from).toSeq && a.drop(until).toSeq == xs.drop(until).toSeq)
+      assert(a.slice(from, until).sorted.toSeq == xs.slice(from, until).sorted.toSeq)
+      assert(a(r) == xs.slice(from, until).sorted.apply(r - from))
+      assert(a.slice(from, r).forall(_ <= a(r)) && a.slice(r + 1, until).forall(_ >= a(r)))
+    }
+  }
+
   test("quantileBoundaries of 0..100 at K=4 are the quartiles") {
     val b = Stats.quantileBoundaries((0 to 100).map(_.toDouble), 4)
     assert(b.toSeq == Seq(25.0, 50.0, 75.0))
