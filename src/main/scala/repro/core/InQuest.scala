@@ -1,8 +1,5 @@
 package repro.core
 
-import repro.sampling.Reservoir
-import scala.collection.immutable.ArraySeq
-
 /** InQuest hyperparameters (paper §3.2 "Setting parameters" defaults). */
 final case class InQuestParams(
     k: Int = 3,
@@ -16,10 +13,12 @@ final case class InQuestParams(
 }
 
 /** The InQuest algorithm (paper Algorithms 1–2), record-at-a-time engine:
-  * an [[InQuestController]] fed one [[InQuest.LocalPlane]] per segment.
+  * an [[InQuestController]] fed one [[ProxyWindowPlane]] per segment, over
+  * the segment's slice of the in-memory stream and the metered
+  * [[OracleModel]].
   *
   * The per-trial sampling is a pure function of `trialSeed` (see
-  * [[repro.sampling.Reservoir.bottomN]]), which the Catalyst engine
+  * [[repro.sampling.Reservoir.bottomN]]), which the Spark engine
   * reproduces bit-for-bit.
   */
 final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgorithm {
@@ -32,7 +31,8 @@ final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgor
     val controller = new InQuestController(params, query)
     val oracle = new OracleModel(ds, query.segmentLength, Some(query.budgetPerSegment))
     ds.segments(query.segmentLength).foreach { seg =>
-      controller.step(new InQuest.LocalPlane(ds, seg, oracle, trialSeed, query.usePredicate))
+      controller.step(new ProxyWindowPlane(ds.proxy, seg.start, seg.end, trialSeed)(
+        _.toLong, i => ds.proxy(i.toInt), _.map(oracle.observe(_, query.usePredicate))))
     }
     controller.trace
   }
@@ -56,35 +56,4 @@ object InQuest {
       countsPerSegment: Seq[Array[Int]],
       rawAllocations: Seq[Array[Double]],
   )
-
-  /** One segment of an in-memory stream as a data plane. The last split
-    * is kept, so that sizing and drawing under the same boundaries split
-    * the segment once.
-    */
-  private[core] final class LocalPlane(ds: StreamDataset, seg: Range, oracle: OracleModel,
-                         trialSeed: Long, usePredicate: Boolean) extends SegmentPlane {
-    private var lastSplit: (Array[Double], Array[ArraySeq.ofLong]) = (null, null)
-
-    private def strata(boundaries: Array[Double]): Array[ArraySeq.ofLong] = {
-      if (lastSplit._1 ne boundaries) lastSplit = (boundaries, Stratification.split(ds, seg, boundaries))
-      lastSplit._2
-    }
-
-    def quantiles(k: Int): Option[Array[Double]] =
-      Some(Stratification.quantileStrata(ArraySeq.unsafeWrapArray(ds.proxy).slice(seg.start, seg.end), k))
-
-    def sizes(boundaries: Array[Double]): Array[Long] = strata(boundaries).map(_.size.toLong)
-
-    def sample(drawBoundaries: Array[Double], counts: Array[Int], tag: Long,
-               foldBy: Seq[Array[Double]]): Seq[Seq[StratumStats]] = {
-      val obs = strata(drawBoundaries).iterator.zip(counts).flatMap { case (idxs, c) =>
-        Reservoir.bottomN(idxs, c, trialSeed, tag)
-      }.map(i => (i, oracle.observe(i, usePredicate))).toVector
-      foldBy.map { b =>
-        val byStratum = obs.groupBy { case (i, _) => Stratification.assign(ds.proxy(i.toInt), b) }
-        val sz = sizes(b)
-        sz.indices.map(s => StratumStats.fromSamples(sz(s), byStratum.getOrElse(s, Vector.empty).map(_._2)))
-      }
-    }
-  }
 }

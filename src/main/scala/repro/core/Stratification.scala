@@ -29,12 +29,20 @@ object Stratification {
     * Each stratum lists its indices in segment order, on a primitive
     * `long[]`.
     */
-  def split(ds: StreamDataset, segment: Range, boundaries: Array[Double]): Array[ArraySeq.ofLong] = {
-    val stratum = new Array[Int](segment.length)
+  def split(ds: StreamDataset, segment: Range, boundaries: Array[Double]): Array[ArraySeq.ofLong] =
+    split(ds.proxy, segment.start, segment.end, boundaries)(_.toLong)
+
+  /** Partition positions `from until until` of `proxy` into K strata by
+    * proxy score, listing the record at position p as `idxAt(p)`. Each
+    * stratum keeps position order, on a primitive `long[]`.
+    */
+  def split(proxy: Array[Double], from: Int, until: Int, boundaries: Array[Double])(
+      idxAt: Int => Long): Array[ArraySeq.ofLong] = {
+    val stratum = new Array[Int](until - from)
     val sizes = new Array[Int](boundaries.length + 1)
     var j = 0
     while (j < stratum.length) {
-      stratum(j) = assign(ds.proxy(segment(j)), boundaries)
+      stratum(j) = assign(proxy(from + j), boundaries)
       sizes(stratum(j)) += 1
       j += 1
     }
@@ -43,7 +51,7 @@ object Stratification {
     j = 0
     while (j < stratum.length) {
       val s = stratum(j)
-      out(s)(filled(s)) = segment(j).toLong
+      out(s)(filled(s)) = idxAt(from + j)
       filled(s) += 1
       j += 1
     }

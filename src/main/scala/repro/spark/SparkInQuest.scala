@@ -1,131 +1,86 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.core._
-import repro.util.Rng
 
-/** The InQuest data plane as Catalyst operators (DESIGN.md §2), over one
-  * cached tumbling window. Everything heavy runs as DataFrame operations:
-  *
-  *   - proxy-quantile boundaries: the exact `percentile` aggregate (same
-  *     linear-interpolation definition as `Stats.quantileBoundaries`);
-  *   - stratum assignment: a `when`-chain on the proxy column;
-  *   - reservoir draw: `row_number` over (hash-uniform, idx) per stratum
-  *     — bit-identical to `Reservoir.bottomN` because both hash
-  *     `(seed, idx, tag)` with the same splitmix64 mixer;
-  *   - oracle invocation: `statistic`/`predicate` are only read on rows
-  *     that survive the sampling filter;
-  *   - cell statistics: one `groupBy(stratum)` aggregation per fold.
+/** The InQuest data plane over Spark, in two passes per window (DESIGN.md
+  * §2). Pass 1 (`proxyColumns`) brings the window's `idx` and `proxy`
+  * columns to the driver, sorted by idx; there a [[ProxyWindowPlane]]
+  * answers the quantiles, the stratum sizes and the per-stratum bottom-n
+  * draw with the same code as the local engine. Pass 2 (`observe`) is one
+  * Spark job that reads `statistic` and `predicate` for the drawn rows
+  * only: a filter on the drawn idx set within the window's idx range, so
+  * that a cached DataFrame's batch statistics skip the other windows.
   */
-private final class SparkSegmentPlane(df: DataFrame, trialSeed: Long, usePredicate: Boolean)
-    extends SegmentPlane {
-
-  /** Spark-side uniform hash, identical to [[Rng.uniform]]. The closure
-    * captures only local primitives — capturing `this` would drag the
-    * plane and its DataFrame into task serialization.
+private[spark] object SparkSegmentPlane {
+  /** The window at positions `from until until` of `idx`/`proxy` (from
+    * `proxyColumns`); `records` holds at least the window's records.
     */
-  private def uniformCol(tag: Long): Column = {
-    val seed = trialSeed
-    val u = udf((idx: Long) => Rng.uniform(seed, idx, tag))
-    u(col("idx"))
-  }
+  def apply(idx: Array[Long], proxy: Array[Double], from: Int, until: Int,
+            records: DataFrame, trialSeed: Long, usePredicate: Boolean): ProxyWindowPlane =
+    new ProxyWindowPlane(proxy, from, until, trialSeed)(
+      idx(_),
+      i => proxy(java.util.Arrays.binarySearch(idx, from, until, i)),
+      drawn => if (drawn.isEmpty) Array.empty else observe(records, idx(from), idx(until - 1), drawn, usePredicate))
 
-  private def stratumCol(boundaries: Array[Double]): Column =
-    boundaries.zipWithIndex.foldRight(lit(boundaries.length): Column) {
-      case ((b, k), rest) => when(col("proxy") < b, lit(k)).otherwise(rest)
-    }
-
-  /** SQL `percentile` is the *exact* aggregate with the same
-    * linear-interpolation definition as Stats.quantileBoundaries; it is
-    * null on an empty window. K = 1 needs no boundaries and no job.
+  /** Pass 2 over the window's idx range `lo..hi`. Throws
+    * IllegalStateException unless it reads exactly one row per drawn idx.
     */
-  def quantiles(k: Int): Option[Array[Double]] =
-    if (k == 1) Some(Array.empty)
-    else {
-      val qs = (1 until k).map(_.toDouble / k).mkString("array(", ",", ")")
-      val r = df.selectExpr(s"percentile(proxy, $qs) as q").head()
-      Option.unless(r.isNullAt(0))(r.getSeq[Double](0).toArray)
-    }
-
-  def sizes(boundaries: Array[Double]): Array[Long] = {
-    val byStratum = df
-      .withColumn("stratum", stratumCol(boundaries))
-      .groupBy(col("stratum")).count()
-      .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-    Array.tabulate(boundaries.length + 1)(s => byStratum.getOrElse(s, 0L))
-  }
-
-  def sample(drawBoundaries: Array[Double], counts: Array[Int], tag: Long,
-             foldBy: Seq[Array[Double]]): Seq[Seq[StratumStats]] = {
-    val countCol = counts.zipWithIndex.foldRight(lit(0): Column) {
-      case ((c, s), rest) => when(col("stratum") === s, lit(c)).otherwise(rest)
-    }
-    val order =
-      if (drawBoundaries.isEmpty) Window.orderBy(col("u"), col("idx"))
-      else Window.partitionBy(col("stratum")).orderBy(col("u"), col("idx"))
-    val flagged = df
-      .withColumn("stratum", stratumCol(drawBoundaries))
-      .withColumn("u", uniformCol(tag))
-      .withColumn("sampled", row_number().over(order) <= countCol)
-    foldBy.map(cellStats(flagged, _))
-  }
-
-  /** Aggregate the sampled rows (with observed statistic/predicate) plus
-    * the per-stratum population counts into [[StratumStats]] cells.
-    */
-  private def cellStats(flagged: DataFrame, boundaries: Array[Double]): Seq[StratumStats] = {
-    val sampled = col("sampled")
-    val matching = sampled && (if (usePredicate) col("predicate") else lit(true))
-    val agg = flagged
-      .withColumn("stratum", stratumCol(boundaries))
-      .groupBy(col("stratum"))
-      .agg(
-        count(lit(1)) as "sizeD",
-        count(when(sampled, 1)) as "nSampled",
-        count(when(matching, 1)) as "nPos",
-        coalesce(sum(when(matching, col("statistic"))), lit(0.0)) as "sumF",
-        coalesce(sum(when(matching, col("statistic") * col("statistic"))), lit(0.0)) as "sumSqF",
-      )
+  private def observe(records: DataFrame, lo: Long, hi: Long, drawn: Array[Long],
+                      usePredicate: Boolean): Array[(Double, Boolean)] = {
+    val rows = records
+      .where(col("idx").between(lo, hi) && col("idx").isInCollection(drawn))
+      .select(col("idx"), col("statistic"), col("predicate"))
       .collect()
-      .map(r => r.getInt(0) ->
-        StratumStats(r.getLong(1), r.getLong(2).toInt, r.getLong(3).toInt,
-          r.getDouble(4), r.getDouble(5)))
+    val byIdx = rows.iterator
+      .map(r => r.getLong(0) -> (r.getDouble(1), !usePredicate || r.getBoolean(2)))
       .toMap
-    (0 to boundaries.length).map(s => agg.getOrElse(s, StratumStats(0, 0, 0, 0.0, 0.0)))
+    val missing = drawn.filterNot(byIdx.contains)
+    if (rows.length != drawn.length || missing.nonEmpty)
+      throw new IllegalStateException(s"the oracle pass read ${rows.length} rows for ${drawn.length} " +
+        s"drawn records (missing idx: ${missing.mkString(",")})")
+    drawn.map(byIdx)
   }
-}
 
-/** The Catalyst engine: an [[InQuestController]] fed one
-  * [[SparkSegmentPlane]] per tumbling segment (micro-batch). Equivalence
-  * with the record-at-a-time [[repro.core.InQuest]] engine is asserted
-  * exactly in `SparkInQuestSpec`.
-  */
-final class SparkInQuestProcessor(
-    params: InQuestParams,
-    query: QueryConfig,
-    trialSeed: Long,
-) {
-  private val controller = new InQuestController(params, query)
-
-  /** Process the next segment; `segDf` must hold exactly that tumbling
-    * window's records (possibly none). Returns the segment's cells.
+  /** Pass 1: the `idx` and `proxy` columns of `df` as primitive arrays
+    * sorted by idx, from one Spark job. Throws IllegalArgumentException
+    * naming an idx that occurs twice.
     */
-  def processSegment(segDf: DataFrame): Seq[StratumStats] = {
-    val df = segDf.cache()
-    try controller.step(new SparkSegmentPlane(df, trialSeed, query.usePredicate))
-    finally df.unpersist()
+  def proxyColumns(df: DataFrame): (Array[Long], Array[Double]) = {
+    val parts = df.select(col("idx"), col("proxy"))
+      .queryExecution.toRdd
+      .mapPartitions { rows =>
+        val idx = Array.newBuilder[Long]
+        val proxy = Array.newBuilder[Double]
+        rows.foreach { r => idx += r.getLong(0); proxy += r.getDouble(1) }
+        Iterator((idx.result(), proxy.result()))
+      }
+      .collect()
+    val idx = parts.flatMap(_._1)
+    val proxy = parts.flatMap(_._2)
+    val sorted = idx.clone()
+    java.util.Arrays.sort(sorted)
+    for (j <- 1 until sorted.length)
+      require(sorted(j) != sorted(j - 1), s"idx ${sorted(j)} occurs more than once")
+    val sortedProxy = new Array[Double](proxy.length)
+    for (j <- idx.indices) sortedProxy(java.util.Arrays.binarySearch(sorted, idx(j))) = proxy(j)
+    (sorted, sortedProxy)
   }
-
-  def result: RunResult = controller.result
 }
 
-/** Batch driver: split a full stream DataFrame into its tumbling segments
-  * and run the processor over each (the Structured Streaming driver in
-  * [[StreamingInQuest]] feeds the same processor from `foreachBatch`).
+/** Batch driver: runs an [[InQuestController]] over a stream DataFrame's
+  * tumbling windows, one [[SparkSegmentPlane]] per window. One Spark job
+  * collects every window's `idx` and `proxy` columns, and each window then
+  * costs one job, its oracle pass: 1 + T jobs for T windows. Cache `df`,
+  * or each oracle pass recomputes it. The driver holds 16 bytes per record.
+  *
   * Windows up to the largest `idx` are processed, including empty ones
-  * left by gaps in `idx`; an empty DataFrame gives an empty result.
+  * left by gaps in `idx`; records with a negative `idx` belong to no
+  * window, and an empty DataFrame gives an empty result. A duplicate `idx`
+  * fails the run before any oracle column is read. Equivalence with the
+  * record-at-a-time [[repro.core.InQuest]] engine is asserted bit for bit
+  * in `SparkInQuestSpec`.
   */
 object SparkInQuest {
   def run(
@@ -134,13 +89,20 @@ object SparkInQuest {
       trialSeed: Long,
       params: InQuestParams = InQuestParams(),
   ): RunResult = {
-    val proc = new SparkInQuestProcessor(params, query, trialSeed)
-    val last = df.agg(max(col("idx"))).head()
-    val windows = if (last.isNullAt(0)) 0L else last.getLong(0) / query.segmentLength + 1
-    for (t <- 0L until windows) {
-      val start = t * query.segmentLength
-      proc.processSegment(df.filter(col("idx") >= start && col("idx") < start + query.segmentLength))
+    val controller = new InQuestController(params, query)
+    val (idx, proxy) = SparkSegmentPlane.proxyColumns(df)
+    def firstAtLeast(i: Long): Int = {
+      val p = java.util.Arrays.binarySearch(idx, i)
+      if (p >= 0) p else -p - 1
     }
-    proc.result
+    val l = query.segmentLength.toLong
+    val windows = if (idx.isEmpty || idx.last < 0) 0L else idx.last / l + 1
+    var from = firstAtLeast(0L)
+    for (t <- 0L until windows) {
+      val until = firstAtLeast((t + 1) * l)
+      controller.step(SparkSegmentPlane(idx, proxy, from, until, df, trialSeed, query.usePredicate))
+      from = until
+    }
+    controller.result
   }
 }

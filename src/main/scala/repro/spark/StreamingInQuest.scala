@@ -2,14 +2,17 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.streaming.StreamingQuery
-import repro.core.{InQuestParams, QueryConfig, RunResult}
+import repro.core.{InQuestController, InQuestParams, QueryConfig, RunResult}
 
 /** Structured Streaming driver for InQuest (the calibration hint's
   * prescribed mapping): a `foreachBatch` sink where **one micro-batch is
-  * one tumbling segment**, delegating the segment step to
-  * [[SparkInQuestProcessor]] — cheap proxy scores drive the sampling
+  * one tumbling segment**, run by an [[InQuestController]] over a
+  * [[SparkSegmentPlane]] — cheap proxy scores drive the sampling
   * decisions, the expensive oracle columns are read only on the selected
-  * rows, and the running query estimate is updated per micro-batch.
+  * rows, and the running query estimate is updated per micro-batch. Each
+  * micro-batch costs two Spark jobs: pass 1 collects its `idx` and `proxy`
+  * columns (16 bytes per record on the driver), pass 2 reads the oracle
+  * columns of the drawn rows. A micro-batch without records is no segment.
   *
   * The source must deliver whole segments per batch (the integration test
   * feeds a `MemoryStream` one segment at a time; a production deployment
@@ -21,7 +24,7 @@ final class StreamingInQuest(
     query: QueryConfig,
     trialSeed: Long,
 ) {
-  private val processor = new SparkInQuestProcessor(params, query, trialSeed)
+  private val controller = new InQuestController(params, query)
   @volatile private var latest: Option[Double] = None
 
   /** Start the continuous query over a streaming Dataset of
@@ -40,14 +43,15 @@ final class StreamingInQuest(
     * a user-managed `foreachBatch` closure.
     */
   def processBatch(segment: DataFrame): Unit = synchronized {
-    if (!segment.isEmpty) {
-      processor.processSegment(segment)
-      latest = Some(processor.result.finalEstimate)
+    val (idx, proxy) = SparkSegmentPlane.proxyColumns(segment)
+    if (idx.nonEmpty) {
+      controller.step(SparkSegmentPlane(idx, proxy, 0, idx.length, segment, trialSeed, query.usePredicate))
+      latest = Some(controller.result.finalEstimate)
     }
   }
 
   /** The user-facing real-time query answer (paper Figure 3, step 6). */
   def latestEstimate: Option[Double] = latest
 
-  def result: RunResult = processor.result
+  def result: RunResult = controller.result
 }
